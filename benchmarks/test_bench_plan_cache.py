@@ -106,9 +106,10 @@ def test_plan_cached_family_campaign(benchmark, print_block):
             ),
         )
         + f"\n\nplan cache: {stats['plans_compiled']} compile(s), "
+          f"{stats['plan_hits']} plan hits ({stats['hit_rate']:.0%} hit rate), "
           f"{stats['action_replays']} action replays, "
           f"{stats['action_fallbacks']} fallbacks "
-          f"({stats['hit_rate']:.0%} hit rate); verdict tables byte-identical.",
+          f"({stats['replay_rate']:.0%} replay rate); verdict tables byte-identical.",
     )
 
 

@@ -23,9 +23,9 @@ over the public target registry in :mod:`repro.targets`:
     multiplexes up to N stands on one worker by awaiting instrument I/O).
     ``--list-targets`` prints every registered DUT and stand.
     ``--profile`` adds a per-phase timing breakdown (job expansion /
-    allocation / instrument I/O / aggregation, plan-cache hit rate) on
-    stderr.  ``--store PATH`` records the finished campaign into the
-    persistent result store (see :mod:`repro.store`), ``--format json``
+    allocation / instrument I/O / aggregation, plan-cache hit rate, DUT
+    solve memo) on stderr.  ``--store PATH`` records the finished campaign
+    into the persistent result store (see :mod:`repro.store`), ``--format json``
     emits a JSON document (rendered table + full execution report) instead
     of the text table.  The verdict tables on stdout are byte-identical
     for any ``--jobs`` / ``--backend`` / ``--concurrency`` combination;
@@ -260,21 +260,24 @@ def _run_profiled_campaign(spec, *, quiet: bool = False):
     Phases: *job expansion* (spec -> compiled scripts -> jobs), *execution*
     (the whole backend run) split into the interpreter-attributed
     *allocation* (full searches only - plan replays cost next to nothing
-    and show up as the hit rate instead) and *instrument I/O* shares, and
+    and show up as the replay rate instead) and *instrument I/O* shares, and
     *aggregation* (rendering exactly the table/summary this invocation
     prints - the strings are returned so the caller prints rather than
     re-renders them).  The plan-cache delta over the campaign is reported
     alongside.  Worker processes ship their phase timings and plan-cache
     counters back with each result chunk, so ``--backend process`` shows
     the worker-side phases too (summed across workers, so they can exceed
-    the parent's execution wall clock).
+    the parent's execution wall clock).  The DUT solve memo line counts
+    this process only: worker processes keep their own memos.
     """
     import time as _time
 
-    from .teststand.plan import GLOBAL_PLAN_CACHE
+    from .dut.harness import solve_stamps
+    from .teststand.plan import GLOBAL_PLAN_CACHE, PlanCacheStats
     from .teststand.profiling import PROFILER
 
     cache_before = GLOBAL_PLAN_CACHE.stats.snapshot()
+    memo_before = solve_stamps.cache_info()
     PROFILER.reset()
     PROFILER.enable()
     try:
@@ -292,16 +295,18 @@ def _run_profiled_campaign(spec, *, quiet: bool = False):
         PROFILER.disable()
     phases = PROFILER.snapshot()
     cache_after = GLOBAL_PLAN_CACHE.stats.snapshot()
-    delta = {key: cache_after[key] - cache_before[key]
-             for key in ("plans_compiled", "plan_hits", "plan_misses",
-                         "action_replays", "action_fallbacks",
-                         "vm_runs", "vm_degraded", "alloc_only_runs")}
-    replays, fallbacks = delta["action_replays"], delta["action_fallbacks"]
-    visits = replays + fallbacks
-    # A campaign fully rejected pre-flight (or one served end-to-end by the
-    # VM) performs zero per-action allocator visits; a rate would divide by
-    # zero, and 0% would misread as "the cache did nothing useful".
-    hit_rate = f"{replays / visits:.0%} hit rate" if visits else "n/a hit rate"
+    memo_after = solve_stamps.cache_info()
+    delta = PlanCacheStats()
+    delta.merge({key: cache_after[key] - cache_before[key]
+                 for key in PlanCacheStats.__slots__})
+    # A campaign fully rejected pre-flight makes no lookups, and one served
+    # end-to-end by the VM makes no allocator visits; a rate would divide
+    # by zero, and 0% would misread as "the cache did nothing useful".
+    lookups = delta.plan_hits + delta.plan_misses
+    visits = delta.action_replays + delta.action_fallbacks
+    hit_rate = f"{delta.hit_rate:.0%} hit rate" if lookups else "n/a hit rate"
+    replay_rate = (f"{delta.replay_rate:.0%} replay rate" if visits
+                   else "n/a replay rate")
 
     def _phase(name: str) -> str:
         seconds, calls = phases.get(name, (0.0, 0))
@@ -314,13 +319,15 @@ def _run_profiled_campaign(spec, *, quiet: bool = False):
         f"instrument I/O {_phase('instrument_io')}; "
         f"VM {_phase('vm_execute')})",
         f"profile: aggregation    {t3 - t2:.3f} s",
-        f"profile: plan cache     {delta['plans_compiled']} compile(s), "
-        f"{delta['plan_hits']} plan hit(s) / {delta['plan_misses']} miss(es); "
-        f"{replays} action replay(s) / {fallbacks} fallback(s) "
-        f"({hit_rate})",
-        f"profile: vm             {delta['vm_runs']} run(s) on the bytecode "
-        f"VM, {delta['alloc_only_runs']} classic, "
-        f"{delta['vm_degraded']} degraded pre-flight",
+        f"profile: plan cache     {delta.plans_compiled} compile(s), "
+        f"{delta.plan_hits} plan hit(s) / {delta.plan_misses} miss(es) "
+        f"({hit_rate}); {delta.action_replays} action replay(s) / "
+        f"{delta.action_fallbacks} fallback(s) ({replay_rate})",
+        f"profile: vm             {delta.vm_runs} run(s) on the bytecode "
+        f"VM, {delta.alloc_only_runs} classic, "
+        f"{delta.vm_degraded} degraded pre-flight",
+        f"profile: solve memo     {memo_after.misses - memo_before.misses} "
+        f"solve(s), {memo_after.hits - memo_before.hits} hit(s)",
     ]
     return result, rendered, lines
 
@@ -424,8 +431,9 @@ def main_campaign(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="print a per-phase timing breakdown (job "
                              "expansion / allocation / instrument I/O / "
-                             "aggregation, plus the plan-cache hit rate and "
-                             "VM run counts) on stderr; the process backend "
+                             "aggregation, plus the plan-cache hit rate, "
+                             "VM run counts and DUT solve memo counts) on "
+                             "stderr; the process backend "
                              "merges its workers' phase timings in")
     parser.add_argument("--list-targets", action="store_true",
                         help="list the registered DUTs and stands, then exit")

@@ -20,7 +20,9 @@ loads, the externally applied resistances/voltages and the meter impedance.
 
 from __future__ import annotations
 
+import functools
 import math
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ..can import CanBus, CanDatabase, CanFrame
@@ -44,6 +46,49 @@ class LoadSpec:
 
     def __repr__(self) -> str:
         return f"LoadSpec({self.pin_a!r}, {self.pin_b!r}, {self.ohms} Ohm)"
+
+
+def _network(stamps: tuple) -> Network:
+    """Build the network a :meth:`TestHarness._stamps` key describes."""
+    (_ecu_class, pin_keys, ubatt, drives, loads, resistances, voltages,
+     meter_keys, dvm_impedance) = stamps
+    network = Network()
+    network.add_voltage_source("vbat", GROUND, ubatt)
+    # ECU driver stages.
+    driven = {key: (level, resistance) for key, level, resistance in drives}
+    for key in pin_keys:
+        network.node(key)
+        if key in driven:
+            level, resistance = driven[key]
+            network.add_thevenin(key, level * ubatt, resistance)
+    # External loads.
+    for pin_a, pin_b, ohms in loads:
+        network.add_resistor(pin_a, pin_b, ohms)
+    # Test-stand stimuli.
+    for pin, ohms in resistances:
+        network.add_resistor(pin, GROUND, ohms)
+    for pin, volts in voltages:
+        network.add_voltage_source(pin, GROUND, volts)
+    # Meter impedance.
+    if len(meter_keys) == 1:
+        network.add_resistor(meter_keys[0], GROUND, dvm_impedance)
+    elif len(meter_keys) >= 2:
+        network.add_resistor(meter_keys[0], meter_keys[1], dvm_impedance)
+    return network
+
+
+@functools.lru_cache(maxsize=4096)
+def solve_stamps(stamps: tuple) -> Mapping[str, float]:
+    """Node voltages of the network *stamps* describes, solved once.
+
+    A campaign measures the same few electrical states over and over (every
+    fault run re-reads the same outputs under the same stimuli), so the
+    solve is memoised on the full content of the network.  The miss path
+    builds the network with the same add-calls in the same order as an
+    uncached build, so the voltages are bit-identical; they are returned
+    read-only because every caller shares them.
+    """
+    return MappingProxyType(_network(stamps).solve())
 
 
 class TestHarness:
@@ -173,31 +218,36 @@ class TestHarness:
 
     # -- electrical measurements ----------------------------------------------------
 
+    def _stamps(self, meter_keys: tuple[str, ...] = ()) -> tuple:
+        """Everything the electrical network depends on, as a hashable key.
+
+        It is the memo key of :func:`solve_stamps`: the ECU class and its
+        pin order (node numbering), UBATT, the driven outputs as
+        ``(key, level, resistance)`` in pin order, the loads, the applied
+        resistances and voltages in dict insertion order, the meter pins
+        and the meter impedance.  Order is part of the key because stamp
+        order changes the floating-point sums of the solve.
+        """
+        ecu = self.ecu
+        pin_keys = []
+        drives = []
+        for pin in ecu.pins:
+            pin_keys.append(pin.key)
+            if pin.is_output:
+                drive = ecu.output_drive(pin.name)
+                if drive.driven:
+                    drives.append((pin.key, drive.level, drive.resistance))
+        return (
+            type(ecu), tuple(pin_keys), self._ubatt, tuple(drives),
+            tuple((load.pin_a, load.pin_b, load.ohms) for load in self._loads),
+            tuple(self._applied_resistances.items()),
+            tuple(self._applied_voltages.items()),
+            meter_keys, self._dvm_impedance,
+        )
+
     def _build_network(self, *, meter_pins: Sequence[str] = ()) -> Network:
-        network = Network()
-        network.add_voltage_source("vbat", GROUND, self._ubatt)
-        # ECU driver stages.
-        for pin in self.ecu.pins:
-            network.node(pin.key)
-            drive = self.ecu.output_drive(pin.name) if pin.is_output else None
-            if drive is not None and drive.driven:
-                network.add_thevenin(pin.key, drive.level * self._ubatt, drive.resistance)
-        # External loads.
-        for load in self._loads:
-            network.add_resistor(load.pin_a, load.pin_b, load.ohms)
-        # Test-stand stimuli.
-        for pin, ohms in self._applied_resistances.items():
-            network.add_resistor(pin, GROUND, ohms)
-        for pin, volts in self._applied_voltages.items():
-            network.add_voltage_source(pin, GROUND, volts)
-        # Meter impedance.
-        if len(meter_pins) == 1:
-            network.add_resistor(str(meter_pins[0]).lower(), GROUND, self._dvm_impedance)
-        elif len(meter_pins) >= 2:
-            network.add_resistor(
-                str(meter_pins[0]).lower(), str(meter_pins[1]).lower(), self._dvm_impedance
-            )
-        return network
+        """The uncached network of the current state (see :func:`solve_stamps`)."""
+        return _network(self._stamps(tuple(str(pin).lower() for pin in meter_pins)))
 
     def measure_voltage(self, pins: Sequence[str] | str) -> float:
         """Voltage a DVM connected to *pins* would read.
@@ -209,10 +259,10 @@ class TestHarness:
             pins = (pins,)
         if not pins:
             raise HarnessError("measure_voltage needs at least one pin")
-        keys = [self._pin_key(pin) for pin in pins]
-        network = self._build_network(meter_pins=keys)
+        keys = tuple(self._pin_key(pin) for pin in pins)
+        voltages = solve_stamps(self._stamps(keys))
         reference = keys[1] if len(keys) > 1 else GROUND
-        return network.voltage_between(keys[0], reference)
+        return voltages[keys[0]] - voltages[reference]
 
     def measure_current(self, pin: str) -> float:
         """Current sourced by the ECU driver on *pin* in amperes."""
@@ -220,8 +270,7 @@ class TestHarness:
         drive = self.ecu.output_drive(key)
         if not drive.driven:
             return 0.0
-        network = self._build_network()
-        pin_voltage = network.voltage_between(key, GROUND)
+        pin_voltage = solve_stamps(self._stamps())[key]
         return (drive.level * self._ubatt - pin_voltage) / drive.resistance
 
     def measure_resistance(self, pin: str) -> float:

@@ -124,9 +124,13 @@ class Network:
         self._resistors.append(_Resistor(self.node(node_a), self.node(node_b), float(ohms)))
 
     def add_voltage_source(self, positive: str, negative: str, volts: float) -> None:
-        """Connect an ideal voltage source between two nodes."""
+        """Connect an ideal voltage source between two nodes.
+
+        ``-0.0`` V stamps as ``+0.0`` V: the two compare equal, so a solve
+        memoised on its stamps must not tell them apart either.
+        """
         self._sources.append(
-            _VoltageSource(self.node(positive), self.node(negative), float(volts))
+            _VoltageSource(self.node(positive), self.node(negative), float(volts) + 0.0)
         )
 
     def add_thevenin(self, node: str, volts: float, resistance: float) -> None:

@@ -332,8 +332,11 @@ class ResultStore:
         try:
             if self._memory:
                 self._shared = self._open()
-            with self._connect() as conn:
-                self._initialise(conn)
+            # Several processes or threads may create the same fresh file
+            # at once; the WAL switch and the DDL then lose the lock race
+            # without waiting on the busy timeout, so they retry like any
+            # other write.
+            self._with_write_retry(self._initialise)
         except sqlite3.Error as exc:
             raise StoreError(
                 f"cannot open result store {self.path!r}: {exc}"
@@ -428,21 +431,22 @@ class ResultStore:
                 time.sleep(delay)
                 delay = min(1.0, delay * 2.0)
 
-    def _initialise(self, conn: sqlite3.Connection) -> None:
-        conn.executescript(DDL)
-        row = conn.execute(
-            "SELECT value FROM meta WHERE key = 'store_schema'"
-        ).fetchone()
-        if row is None:
-            conn.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                ("store_schema", str(STORE_SCHEMA)),
-            )
-        elif int(row["value"]) != STORE_SCHEMA:
-            raise StoreError(
-                f"store {self.path!r} uses schema {row['value']}, this "
-                f"release reads schema {STORE_SCHEMA}"
-            )
+    def _initialise(self) -> None:
+        with self._connect() as conn:
+            conn.executescript(DDL)
+            row = conn.execute(
+                "SELECT value FROM meta WHERE key = 'store_schema'"
+            ).fetchone()
+            if row is None:
+                conn.execute(
+                    "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
+                    ("store_schema", str(STORE_SCHEMA)),
+                )
+            elif int(row["value"]) != STORE_SCHEMA:
+                raise StoreError(
+                    f"store {self.path!r} uses schema {row['value']}, this "
+                    f"release reads schema {STORE_SCHEMA}"
+                )
 
     def close(self) -> None:
         """Close the shared connection of an in-memory store (no-op else)."""

@@ -531,8 +531,10 @@ class PlanCacheStats:
     """Counters describing how well the plan cache is working.
 
     ``plan_hits`` / ``plan_misses`` count run-level lookups (a miss
-    compiles); ``action_replays`` / ``action_fallbacks`` count individual
-    allocator visits served from a plan vs. falling back to full search.
+    compiles) and give :attr:`hit_rate`; ``action_replays`` /
+    ``action_fallbacks`` count individual allocator visits of classic runs
+    served from a plan vs. falling back to full search and give
+    :attr:`replay_rate`.
     ``vm_runs`` / ``alloc_only_runs`` split the runs a plan served into
     full-VM executions and classic runs that replayed allocations only;
     ``vm_degraded`` counts runs whose program existed but failed the
@@ -560,16 +562,24 @@ class PlanCacheStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of allocator visits served by replay (1.0 when all)."""
-        total = self.action_replays + self.action_fallbacks
-        if total == 0:
-            return 0.0
-        return self.action_replays / total
+        """Fraction of plan lookups served from the cache (1.0 when all)."""
+        lookups = self.plan_hits + self.plan_misses
+        return self.plan_hits / lookups if lookups else 0.0
+
+    @property
+    def replay_rate(self) -> float:
+        """Fraction of classic-run allocator visits served by replay.
+
+        Runs the VM serves make no allocator visits, so a warm VM campaign
+        reads 0.0 here while :attr:`hit_rate` reads 1.0.
+        """
+        visits = self.action_replays + self.action_fallbacks
+        return self.action_replays / visits if visits else 0.0
 
     def merge(self, snapshot: Mapping[str, float]) -> None:
         """Fold another stats snapshot (e.g. a worker process's) into this.
 
-        ``hit_rate`` is derived, so only the raw counters accumulate.
+        The rates are derived, so only the raw counters accumulate.
         """
         for name in self.__slots__:
             value = snapshot.get(name)
@@ -587,6 +597,7 @@ class PlanCacheStats:
             "vm_degraded": self.vm_degraded,
             "alloc_only_runs": self.alloc_only_runs,
             "hit_rate": self.hit_rate,
+            "replay_rate": self.replay_rate,
         }
 
 

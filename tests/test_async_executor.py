@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import os
+import statistics
 import time
 
 import pytest
@@ -166,6 +168,66 @@ class TestAsyncConcurrencyLimit:
 
     def test_concurrency_floor(self):
         assert AsyncExecutor(concurrency=0).concurrency == 1
+
+    def test_sub_millisecond_awaits_are_not_rounded_up(self):
+        # The default epoll loop waits whole milliseconds, so each of these
+        # awaits would take at least 1 ms there.
+        async def timed_sleep(delay):
+            start = time.perf_counter()
+            await asyncio.sleep(delay)
+            return time.perf_counter() - start
+
+        executor = AsyncExecutor(concurrency=1)
+        waits = [wait for _, wait in executor.map_jobs(timed_sleep, [0.0002] * 50)]
+        assert min(waits) >= 0.0002  # a timer never fires early
+        assert statistics.median(waits) < 0.0008
+
+    def test_loop_teardown_matches_asyncio_run(self):
+        state = {}
+
+        async def straggler():
+            try:
+                await asyncio.sleep(0.5)
+            except asyncio.CancelledError:
+                state["straggler"] = "cancelled"
+                raise
+
+        async def ticker():
+            try:
+                yield 1
+                yield 2
+            finally:
+                state["ticker"] = "closed"
+
+        async def job(_):
+            asyncio.ensure_future(straggler())
+            state["ticks"] = ticker()
+            await state["ticks"].__anext__()
+            state["loop"] = asyncio.get_running_loop()
+            return None
+
+        list(AsyncExecutor(concurrency=1).map_jobs(job, [0]))
+        assert state["straggler"] == "cancelled"
+        assert state["ticker"] == "closed"
+        assert state["loop"].is_closed()
+
+    def test_many_open_files_fall_back_to_the_default_loop(self):
+        # select() cannot watch a descriptor at or above FD_SETSIZE (1024).
+        resource = pytest.importorskip("resource")
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+            pytest.skip("needs a soft open-file limit of at least 1200")
+
+        async def job(position):
+            await asyncio.sleep(0.001)
+            return position
+
+        held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+        try:
+            results = list(AsyncExecutor(concurrency=2).map_jobs(job, [0, 1]))
+        finally:
+            for fd in held:
+                os.close(fd)
+        assert sorted(results) == [(0, 0), (1, 1)]
 
     def test_rejects_nested_event_loop(self):
         executor = AsyncExecutor(concurrency=2)

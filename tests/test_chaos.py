@@ -396,6 +396,30 @@ class TestStoreHardening:
         assert errors == []
         assert len(ResultStore(path).list_runs()) == 4
 
+    def test_concurrent_opens_of_a_fresh_file(self, tmp_path):
+        # The first opens of a new file race on the switch to WAL, which
+        # fails at once instead of waiting on the busy timeout.
+        start = time.perf_counter()
+        for trial in range(25):
+            path = str(tmp_path / f"fresh-{trial}.db")
+            barrier = threading.Barrier(8)
+            errors = []
+
+            def open_store():
+                barrier.wait()
+                try:
+                    ResultStore(path)
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=open_store) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert errors == [], f"trial {trial}: {errors[0]}"
+        assert time.perf_counter() - start < 2.0
+
     def test_checkpoint_round_trip(self, tmp_path):
         store = ResultStore(str(tmp_path / "ckpt.db"))
         result = run_campaign(_small_spec())

@@ -21,10 +21,11 @@ from repro.core.errors import ConfigurationError, InstrumentError, ReproError
 from repro.dut import InteriorLightEcu
 from repro.instruments import Dvm
 from repro.paper import interior_harness, paper_signal_set, paper_suite
-from repro.targets import CampaignSpec
+from repro.targets import CampaignSpec, build_campaign, campaignable_dut_names
 from repro.teststand import (
     GLOBAL_PLAN_CACHE,
     PlanCache,
+    PlanCacheStats,
     ProcessExecutor,
     TestStandInterpreter,
     build_minimal_bench,
@@ -98,6 +99,28 @@ class TestPlanDeterminism:
         assert stats["plan_hits"] == 2
         assert stats["action_fallbacks"] == 0
         assert stats["action_replays"] > 0
+        assert stats["hit_rate"] == pytest.approx(2 / 3)
+        assert stats["replay_rate"] == 1.0
+
+    def test_warm_vm_family_pass_hit_rate_is_one(self):
+        """hit_rate is plan hits over lookups, so a VM-served pass reads 1.0."""
+        campaigns = [build_campaign(CampaignSpec(dut=dut))
+                     for dut in campaignable_dut_names()]
+        for campaign, faults in campaigns:
+            campaign.run(faults)
+        before = GLOBAL_PLAN_CACHE.stats.snapshot()
+        for campaign, faults in campaigns:
+            campaign.run(faults)
+        after = GLOBAL_PLAN_CACHE.stats.snapshot()
+        delta = PlanCacheStats()
+        delta.merge({name: after[name] - before[name]
+                     for name in PlanCacheStats.__slots__})
+        assert delta.plan_hits > 0
+        assert delta.vm_runs == delta.plan_hits
+        assert delta.hit_rate == 1.0
+        # The VM makes no allocator visits: the visit ratio has no base.
+        assert delta.action_replays + delta.action_fallbacks == 0
+        assert delta.replay_rate == 0.0
 
 
 # ---------------------------------------------------------------------------
