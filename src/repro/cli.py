@@ -559,66 +559,66 @@ def _report_from_store(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--store needs exactly one of --list, --run ID, "
                      "--diff A B or --html DIR")
     try:
-        store = ResultStore(args.store)
-        if args.list:
-            runs = store.list_runs()
-            if args.format == "json":
-                print(_json.dumps([
-                    {
-                        "run": info.run_id, "created_at": info.created_at,
-                        "dut": info.dut, "stand": info.stand,
-                        "backend": info.backend, "workers": info.workers,
-                        "jobs": info.jobs, "verdict": info.verdict,
-                        "wall_time": info.wall_time, "git_sha": info.git_sha,
-                        "repro_version": info.repro_version,
-                    }
-                    for info in runs
-                ], indent=2))
-            else:
-                header = ("run", "recorded (UTC)", "dut", "backend", "jobs",
-                          "verdict", "version", "git")
-                rows = [
-                    (str(info.run_id),
-                     datetime.fromtimestamp(info.created_at, timezone.utc)
-                     .strftime("%Y-%m-%d %H:%M:%S"),
-                     info.dut or "-", info.backend, str(info.jobs),
-                     info.verdict.upper(), info.repro_version,
-                     info.git_sha[:12] or "-")
-                    for info in runs
-                ]
-                print(format_table(header, rows))
+        with ResultStore(args.store) as store:
+            if args.list:
+                runs = store.list_runs()
+                if args.format == "json":
+                    print(_json.dumps([
+                        {
+                            "run": info.run_id, "created_at": info.created_at,
+                            "dut": info.dut, "stand": info.stand,
+                            "backend": info.backend, "workers": info.workers,
+                            "jobs": info.jobs, "verdict": info.verdict,
+                            "wall_time": info.wall_time, "git_sha": info.git_sha,
+                            "repro_version": info.repro_version,
+                        }
+                        for info in runs
+                    ], indent=2))
+                else:
+                    header = ("run", "recorded (UTC)", "dut", "backend", "jobs",
+                              "verdict", "version", "git")
+                    rows = [
+                        (str(info.run_id),
+                         datetime.fromtimestamp(info.created_at, timezone.utc)
+                         .strftime("%Y-%m-%d %H:%M:%S"),
+                         info.dut or "-", info.backend, str(info.jobs),
+                         info.verdict.upper(), info.repro_version,
+                         info.git_sha[:12] or "-")
+                        for info in runs
+                    ]
+                    print(format_table(header, rows))
+                return 0
+            if args.run is not None:
+                run = store.get_run(args.run)
+                if args.format == "json":
+                    print(_json.dumps(run.report_document(), indent=2))
+                else:
+                    # Byte-identical to the repro-campaign stdout that produced
+                    # the run: fault table + campaign summary line.
+                    print(run.render())
+                return 0
+            if args.diff is not None:
+                diff = store.diff_runs(args.diff[0], args.diff[1])
+                if args.format == "json":
+                    print(_json.dumps({
+                        "run_a": diff.run_a, "run_b": diff.run_b,
+                        "empty": diff.empty,
+                        "changed": [
+                            {"job": d.job, "verdict_a": d.verdict_a,
+                             "verdict_b": d.verdict_b}
+                            for d in diff.changed
+                        ],
+                        "only_a": list(diff.only_a),
+                        "only_b": list(diff.only_b),
+                    }, indent=2))
+                else:
+                    print(diff.table())
+                    print(diff.summary())
+                return 0 if diff.empty else 1
+            from .service.reportgen import generate_site
+            written = generate_site(store, args.html)
+            print(f"wrote {len(written)} page(s) to {args.html}")
             return 0
-        if args.run is not None:
-            run = store.get_run(args.run)
-            if args.format == "json":
-                print(_json.dumps(run.execution_report().to_dict(), indent=2))
-            else:
-                # Byte-identical to the repro-campaign stdout that produced
-                # the run: fault table + campaign summary line.
-                print(run.render())
-            return 0
-        if args.diff is not None:
-            diff = store.diff_runs(args.diff[0], args.diff[1])
-            if args.format == "json":
-                print(_json.dumps({
-                    "run_a": diff.run_a, "run_b": diff.run_b,
-                    "empty": diff.empty,
-                    "changed": [
-                        {"job": d.job, "verdict_a": d.verdict_a,
-                         "verdict_b": d.verdict_b}
-                        for d in diff.changed
-                    ],
-                    "only_a": list(diff.only_a),
-                    "only_b": list(diff.only_b),
-                }, indent=2))
-            else:
-                print(diff.table())
-                print(diff.summary())
-            return 0 if diff.empty else 1
-        from .service.reportgen import generate_site
-        written = generate_site(store, args.html)
-        print(f"wrote {len(written)} page(s) to {args.html}")
-        return 0
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -171,6 +171,9 @@ class TestScript:
         Free-form string metadata recorded in the XML header.
     """
 
+    #: Domain class, not a pytest test class despite its name.
+    __test__ = False
+
     def __init__(
         self,
         name: str,

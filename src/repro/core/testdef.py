@@ -60,6 +60,9 @@ class TestStep:
         the paper, used by :mod:`repro.analysis.traceability`).
     """
 
+    #: Domain class, not a pytest test class despite its name.
+    __test__ = False
+
     number: int
     duration: float
     assignments: tuple[StatusAssignment, ...] = ()
@@ -119,6 +122,9 @@ class TestDefinition:
     specification* and only mentions the signals relevant to that part; the
     sheet therefore records its own signal column order.
     """
+
+    #: Domain class, not a pytest test class despite its name.
+    __test__ = False
 
     def __init__(
         self,
@@ -259,6 +265,9 @@ class TestSuite:
     test definition sheets - i.e. the complete, test-stand-independent
     description of the component tests for one DUT.
     """
+
+    #: Domain class, not a pytest test class despite its name.
+    __test__ = False
 
     def __init__(
         self,

@@ -94,6 +94,9 @@ def solve_stamps(stamps: tuple) -> Mapping[str, float]:
 class TestHarness:
     """Wiring, supply, loads, bus and clock around one ECU model."""
 
+    #: Domain class, not a pytest test class despite its name.
+    __test__ = False
+
     #: Input impedance of the voltage-measuring instrument [Ohm].
     DVM_IMPEDANCE = 10.0e6
 

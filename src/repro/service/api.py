@@ -3,8 +3,9 @@
 A deliberately thin HTTP layer on stdlib WSGI - no framework, no new
 dependency - served by ``repro-serve`` (:mod:`repro.service.cli`) through
 :mod:`wsgiref.simple_server`, or mountable under any WSGI container.
-Every response body is JSON; errors are ``{"error": ...}`` with the
-matching status code.
+Every response body is compact JSON (pipe it through ``python -m
+json.tool`` to read it); errors are ``{"error": ...}`` with the matching
+status code.
 
 Routes (see ``docs/result-store.md`` for a curl quickstart):
 
@@ -87,7 +88,8 @@ class CampaignApp:
             status, body = error.status, {"error": error.message}
         except (ServiceError, StoreError) as exc:
             status, body = "404 Not Found", {"error": str(exc)}
-        payload = (json.dumps(body, indent=2) + "\n").encode("utf-8")
+        # Compact JSON: without ``indent`` json.dumps runs on its C encoder.
+        payload = (json.dumps(body) + "\n").encode("utf-8")
         start_response(status, [
             ("Content-Type", "application/json; charset=utf-8"),
             ("Content-Length", str(len(payload))),
@@ -236,7 +238,9 @@ class CampaignApp:
             "summary": summary,
             "verdict_table": report.verdict_table(),
             "execution_summary": report.summary(),
-            "report": report.to_dict(),
+            # The stored document itself: equal to report.to_dict() by
+            # the serialization round-trip contract.
+            "report": run.report_document(),
         }
 
     def _diff(self, run_a: int, run_b: int) -> tuple[str, dict]:

@@ -70,6 +70,7 @@ def main_serve(argv: Sequence[str] | None = None) -> int:
         print(f"error: cannot listen on {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         service.shutdown(wait=False)
+        store.close()
         return 2
     print(f"repro-serve: listening on http://{args.host}:{args.port} "
           f"(store {args.store})", file=sys.stderr, flush=True)
@@ -80,6 +81,7 @@ def main_serve(argv: Sequence[str] | None = None) -> int:
     finally:
         httpd.server_close()
         service.shutdown(wait=False)
+        store.close()
     print("repro-serve: shut down", file=sys.stderr)
     return 0
 

@@ -94,6 +94,10 @@ class CampaignService:
     def __init__(self, store: ResultStore | str, *, runner=None):
         self.store = store if isinstance(store, ResultStore) \
             else ResultStore(store)
+        #: shutdown() closes a store opened here from a file path.  A store
+        #: passed in belongs to the caller, and an in-memory one stays
+        #: readable after shutdown (closing it would drop its runs).
+        self._owns_store = self.store is not store and store != ":memory:"
         self._runner = runner or run_campaign
         self._queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
         self._jobs: dict[int, _ServiceJob] = {}
@@ -158,7 +162,12 @@ class CampaignService:
     def shutdown(self, *, wait: bool = True,
                  timeout: float | None = None) -> None:
         """Stop accepting jobs and (optionally) wait for the worker to
-        drain the queue.  Idempotent."""
+        drain the queue.  Idempotent.
+
+        A store the service opened from a file path is closed once the
+        worker has exited; without *wait* (or past *timeout*) it stays open
+        for the worker still draining the queue.
+        """
         with self._lock:
             if self._closed:
                 return
@@ -166,6 +175,8 @@ class CampaignService:
         self._queue.put(None)
         if wait:
             self._worker.join(timeout)
+            if self._owns_store and not self._worker.is_alive():
+                self.store.close()
 
     def __enter__(self) -> "CampaignService":
         return self

@@ -10,22 +10,26 @@ the dict serialization it is built on: a recorded run re-renders
 campaigns (e.g. the same family campaign on the serial and async backends)
 is empty.
 
-Concurrency model: every public call opens its own connection (with a busy
-timeout) and commits one transaction, so many threads - or many processes -
-may record into the same store file.  ``":memory:"`` stores keep a single
-shared connection behind a lock instead (handy for tests and the service's
-default), at the price of dying with the process like any in-memory
-database.
+Concurrency model: a file-backed store keeps one connection (with a busy
+timeout) per thread and per process, opened on the thread's first call and
+reused after; every public call commits one transaction on it, so many
+threads - or many processes - may record into the same store file.
+:meth:`ResultStore.close` closes every connection the store opened.
+``":memory:"`` stores keep a single shared connection behind a lock instead
+(handy for tests and the service's default), at the price of dying with the
+process like any in-memory database.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sqlite3
 import subprocess
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -205,8 +209,9 @@ class RunDiff:
 class StoredRun:
     """One recorded run, lazily rebuilt into live report objects.
 
-    Attribute access is cheap (row data only); :meth:`execution_report`
-    and :meth:`campaign_result` rebuild real
+    Attribute access is cheap (row data only); :meth:`report_document`
+    rebuilds the report document from the rows, and
+    :meth:`execution_report` and :meth:`campaign_result` rebuild real
     :class:`~repro.teststand.executor.ExecutionReport` /
     :class:`~repro.analysis.campaign.CampaignResult` objects from the rows
     (cached per instance), so :meth:`render` reproduces the live
@@ -232,6 +237,7 @@ class StoredRun:
         self.campaign = dict(campaign) if campaign is not None else None
         #: Selected fault-catalogue metadata (list of dicts) or None.
         self.catalogue = catalogue
+        self._document: dict | None = None
         self._report: ExecutionReport | None = None
         self._result: CampaignResult | None = None
 
@@ -245,12 +251,21 @@ class StoredRun:
                 return job_result.job.script.dut
         return ""
 
+    def report_document(self) -> dict:
+        """The run's report document, rebuilt from the rows (cached).
+
+        Equal to ``execution_report().to_dict()`` - the round-trip contract
+        of :mod:`repro.teststand.serialize` - without rebuilding the report
+        objects.  The dict is shared by later calls: do not mutate it.
+        """
+        if self._document is None:
+            self._document = self._store._report_document(self.run_id)
+        return self._document
+
     def execution_report(self) -> ExecutionReport:
         """The run's :class:`ExecutionReport`, rebuilt from the rows."""
         if self._report is None:
-            self._report = ExecutionReport.from_dict(
-                self._store._report_document(self.run_id)
-            )
+            self._report = ExecutionReport.from_dict(self.report_document())
         return self._report
 
     def campaign_result(self) -> CampaignResult:
@@ -310,6 +325,12 @@ class StoredRun:
         )
 
 
+class _Connection(sqlite3.Connection):
+    """A store connection: weakly referenceable, so the store can track it
+    without keeping a finished thread's connection open, and tagged with
+    the id of the process that opened it (``pid``)."""
+
+
 class ResultStore:
     """SQL-backed persistent store for execution reports and campaigns.
 
@@ -319,8 +340,14 @@ class ResultStore:
     True
 
     All methods are safe to call from multiple threads (and the file-backed
-    form from multiple processes): each call runs one transaction on its
-    own connection with a busy timeout.
+    form from multiple processes).  A file-backed store keeps one connection
+    per thread, opened with a busy timeout on the thread's first call (and
+    again in a forked child, which never touches its parent's connection);
+    each call runs one transaction on it.  :meth:`close` closes them all,
+    and the store is a context manager that does so on exit::
+
+        with ResultStore("results.db") as store:
+            store.list_runs()
     """
 
     def __init__(self, path: str, *, timeout: float = 30.0):
@@ -329,6 +356,12 @@ class ResultStore:
         self._memory = self.path == ":memory:"
         self._lock = threading.Lock()
         self._shared: sqlite3.Connection | None = None
+        #: The calling thread's connection (``conn``); file-backed stores.
+        self._local = threading.local()
+        #: Every live connection opened, for close().  Weak, so a thread
+        #: that has ended leaves its connection to the garbage collector,
+        #: which closes it, instead of holding it open until close().
+        self._opened: weakref.WeakSet[_Connection] = weakref.WeakSet()
         try:
             if self._memory:
                 self._shared = self._open()
@@ -338,17 +371,25 @@ class ResultStore:
             # other write.
             self._with_write_retry(self._initialise)
         except sqlite3.Error as exc:
+            self.close()
             raise StoreError(
                 f"cannot open result store {self.path!r}: {exc}"
             ) from exc
+        except BaseException:
+            self.close()
+            raise
 
     # -- connection plumbing ------------------------------------------------
 
-    def _open(self) -> sqlite3.Connection:
+    def _open(self) -> _Connection:
+        # Each connection serves one thread; check_same_thread is off only
+        # so that close() (and the in-memory store's lock) may run on
+        # another thread.
         conn = sqlite3.connect(
-            self.path, timeout=self.timeout,
-            check_same_thread=not self._memory,
+            self.path, timeout=self.timeout, check_same_thread=False,
+            factory=_Connection,
         )
+        conn.pid = os.getpid()
         conn.row_factory = sqlite3.Row
         conn.execute("PRAGMA foreign_keys = ON")
         if not self._memory:
@@ -359,8 +400,23 @@ class ResultStore:
             conn.execute("PRAGMA journal_mode = WAL")
         return conn
 
+    def _thread_connection(self) -> _Connection:
+        """The calling thread's connection, opened on its first call.
+
+        The pid check makes a forked child open its own connection instead
+        of using the one it inherited from its parent.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None or conn.pid != os.getpid():
+            conn = self._open()
+            with self._lock:
+                self._opened.add(conn)
+            self._local.conn = conn
+        return conn
+
     class _Session:
-        """Context manager: shared-locked connection or a fresh one."""
+        """Context manager: one transaction on the shared-locked connection
+        (``:memory:``) or on the calling thread's own connection."""
 
         def __init__(self, store: "ResultStore"):
             self._store = store
@@ -371,7 +427,7 @@ class ResultStore:
                 self._store._lock.acquire()
                 self._conn = self._store._shared
             else:
-                self._conn = self._store._open()
+                self._conn = self._store._thread_connection()
             return self._conn
 
         def __exit__(self, exc_type, exc, tb) -> None:
@@ -395,8 +451,6 @@ class ResultStore:
             finally:
                 if self._store._memory:
                     self._store._lock.release()
-                else:
-                    conn.close()
 
     def _connect(self) -> "_Session":
         return self._Session(self)
@@ -449,11 +503,27 @@ class ResultStore:
                 )
 
     def close(self) -> None:
-        """Close the shared connection of an in-memory store (no-op else)."""
-        if self._shared is not None:
-            with self._lock:
-                self._shared.close()
-                self._shared = None
+        """Close every connection this store opened in this process.
+
+        A file-backed store stays usable: the next call on a thread opens
+        a fresh connection.  Connections inherited from a parent process
+        are left to the parent.
+        """
+        with self._lock:
+            opened, self._opened = list(self._opened), weakref.WeakSet()
+            self._local = threading.local()
+            shared, self._shared = self._shared, None
+        for conn in opened:
+            if conn.pid == os.getpid():
+                conn.close()
+        if shared is not None:
+            shared.close()
+
+    def __enter__(self) -> "ResultStore":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     # -- recording ----------------------------------------------------------
 

@@ -1513,15 +1513,19 @@ def run_campaign(spec: CampaignSpec, *,
         # setup cost (nor create files) unless a spec actually records.
         from .store import ResultStore
         store = ResultStore(spec.store)
+    try:
         if spec.resume:
             resume_key = _campaign_resume_key(spec, campaign, faults)
             completed = store.load_checkpoints(resume_key)
             on_result = functools.partial(store.save_checkpoint, resume_key)
-    result = campaign.run(faults, completed=completed, on_result=on_result)
-    if store is not None:
-        result.store_run_id = store.record_campaign(result, spec)
-        if spec.resume:
-            store.clear_checkpoints(resume_key)
+        result = campaign.run(faults, completed=completed, on_result=on_result)
+        if store is not None:
+            result.store_run_id = store.record_campaign(result, spec)
+            if spec.resume:
+                store.clear_checkpoints(resume_key)
+    finally:
+        if store is not None:
+            store.close()
     return result
 
 

@@ -76,6 +76,9 @@ class TestStandInterpreter:
     byte-identical to the classic path (see :mod:`repro.teststand.vm`).
     """
 
+    #: Domain class, not a pytest test class despite its name.
+    __test__ = False
+
     def __init__(
         self,
         stand: TestStand,

@@ -64,6 +64,9 @@ PAPER_PINS = ("INT_ILL_F", "INT_ILL_R", "DS_FL", "DS_FR", "DS_RL", "DS_RR")
 class TestStand:
     """One test stand: resources, connection matrix, supply and variables."""
 
+    #: Domain class, not a pytest test class despite its name.
+    __test__ = False
+
     name: str
     resources: ResourceTable
     connections: ConnectionMatrix

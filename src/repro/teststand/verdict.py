@@ -107,6 +107,9 @@ class StepResult:
 class TestResult:
     """Result of executing one test script on one test stand."""
 
+    #: Domain class, not a pytest test class despite its name.
+    __test__ = False
+
     def __init__(
         self,
         script: TestScript,

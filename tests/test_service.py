@@ -4,7 +4,8 @@ The queue tests drive :class:`CampaignService` directly (real runs and
 stub runners); the API tests call the WSGI app in-process with synthetic
 environs - no sockets.  The acceptance bar: a campaign submitted over the
 API, once done, serves a report whose ``table`` + ``summary`` are
-byte-identical to the producing ``repro-campaign`` stdout.
+byte-identical to the producing ``repro-campaign`` stdout, and whose
+``report`` document equals the live report's ``to_dict()``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.service import (
 )
 from repro.service.cli import main_serve
 from repro.store import ResultStore
-from repro.targets import CampaignSpec
+from repro.targets import CampaignSpec, campaignable_dut_names, run_campaign
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +245,85 @@ def test_api_error_codes(app):
     # wrong methods -> 405
     assert request(app, "DELETE", "/campaigns")[0] == 405
     assert request(app, "POST", "/targets")[0] == 405
+
+
+@pytest.mark.parametrize("backend", ["serial", "async"])
+def test_served_report_is_the_live_report_document(backend):
+    """The stored document served as ``report`` equals the live
+    ``ExecutionReport.to_dict()`` of the run that produced it, for every
+    campaignable DUT."""
+    live = []
+
+    def runner(spec):
+        live.append(run_campaign(spec))
+        return live[-1]
+
+    with CampaignService(":memory:", runner=runner) as service:
+        app = CampaignApp(service)
+        for dut in campaignable_dut_names():
+            job = request(app, "POST", "/campaigns",
+                          {"dut": dut, "backend": backend})[1]["job"]
+            run_id = service.wait(job, timeout=60)["run_id"]
+            status, body = request(app, "GET", f"/runs/{run_id}/report")
+            assert status == 200
+            assert body["report"] == live[-1].execution.to_dict(), dut
+
+
+class _RecordingApp(CampaignApp):
+    """Keeps the body object of every response before it is encoded."""
+
+    def __init__(self, service):
+        super().__init__(service)
+        self.bodies = []
+
+    def _route(self, method, segments, environ):
+        status, body = super()._route(method, segments, environ)
+        self.bodies.append(body)
+        return status, body
+
+
+def test_every_route_serves_compact_json_of_the_same_object(service):
+    app = _RecordingApp(service)
+    job = request(app, "POST", "/campaigns", {"dut": "wiper_ecu"})[1]["job"]
+    runs = [service.wait(job, timeout=60)["run_id"]]
+    job = request(app, "POST", "/campaigns", {"dut": "wiper_ecu"})[1]["job"]
+    runs.append(service.wait(job, timeout=60)["run_id"])
+    app.bodies.clear()
+    for path in ["/", "/targets", "/campaigns", f"/campaigns/{job}",
+                 f"/runs/{runs[0]}/report", f"/runs/{runs[0]}/diff/{runs[1]}"]:
+        environ = {"REQUEST_METHOD": "GET", "PATH_INFO": path}
+        payload = b"".join(app(environ, lambda status, headers: None))
+        text = payload.decode("utf-8")
+        body = app.bodies[-1]
+        assert text == json.dumps(body) + "\n", path
+        assert json.loads(text) == json.loads(json.dumps(body, indent=2)), path
+    assert len(app.bodies) == 6
+
+
+def test_shutdown_closes_a_store_opened_from_a_path(tmp_path):
+    """The service closes the store it opened (sqlite then folds the WAL
+    back into the file and deletes it), but not a store passed in."""
+    path = tmp_path / "owned.db"
+    service = CampaignService(str(path))
+    job = service.submit(CampaignSpec(dut="wiper_ecu"))
+    assert service.wait(job, timeout=60)["state"] == "done"
+    assert (tmp_path / "owned.db-wal").exists()
+    service.shutdown()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["owned.db"]
+
+    opened = []
+    store = ResultStore(str(tmp_path / "passed.db"))
+    original = store._open
+    store._open = lambda: opened.append(1) or original()
+    assert store.run_ids() == ()  # the calling thread's connection is open
+    with CampaignService(store) as service:
+        job = service.submit(CampaignSpec(dut="wiper_ecu"))
+        assert service.wait(job, timeout=60)["state"] == "done"
+    assert len(opened) == 1  # the worker thread's connection
+    # Still open: the calling thread reuses its connection.
+    assert store.run_ids() == (1,)
+    assert len(opened) == 1
+    store.close()
 
 
 # ---------------------------------------------------------------------------
